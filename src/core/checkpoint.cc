@@ -317,7 +317,11 @@ bool SpotDetector::LoadState(std::istream& in) {
 
   SpotConfig config;
   if (!ReadConfigBinary(r, &config)) return false;
-  if (!config.Validate().empty()) return r.Fail();
+  const std::string problem = config.Validate();
+  if (!problem.empty()) {
+    SPOT_LOG(Error) << "checkpoint refused: invalid SpotConfig: " << problem;
+    return r.Fail();
+  }
   config_ = config;
   config_.num_shards = config_.num_shards == 0 ? 1 : config_.num_shards;
 

@@ -358,10 +358,9 @@ void SpotDetector::GrowOutlierDriven(const std::vector<double>& values) {
   ++stats_.os_growth_runs;
   Emit(DetectorEventKind::kOsGrowthRun, stats_.os_growth_runs);
 
-  // Mini-MOGA targeted at this outlier against the recent sample.
-  std::vector<std::vector<double>> batch = sample;
-  batch.push_back(values);
-  BatchSparsityObjectives obj(&*partition_, &batch, {batch.size() - 1});
+  // Mini-MOGA targeted at this outlier against the recent sample (binned
+  // in place: the reservoir is not copied).
+  BatchSparsityObjectives obj(&*partition_, sample, values);
   Nsga2Config cfg = config_.supervised.moga;
   cfg.num_dims = partition_->num_dims();
   cfg.max_dimension = std::min(cfg.max_dimension, cfg.num_dims);

@@ -130,6 +130,16 @@ struct SpotConfig {
   // --- Reproducibility ---------------------------------------------------
   std::uint64_t seed = 1234;
 
+  // --- Admission limits ----------------------------------------------------
+  /// Upper bounds Validate() enforces, so a corrupted checkpoint or a hostile
+  /// wire config is refused before it can ask for an absurd thread pool,
+  /// grid or MOGA budget (DESIGN.md Section 5). Each is far above any
+  /// configuration the repository runs.
+  static constexpr std::size_t kMaxShards = 256;
+  static constexpr int kMaxCellsPerDim = 1024;
+  static constexpr int kMaxMogaPopulation = 1024;
+  static constexpr int kMaxMogaGenerations = 1000;
+
   /// Returns an empty string when the configuration is usable, otherwise a
   /// description of the first problem found.
   std::string Validate() const;

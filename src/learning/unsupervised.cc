@@ -17,11 +17,12 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
   if (training_data.empty()) return out;
   Rng rng(seed);
 
-  // Step 1: MOGA over the whole batch — global sparse subspaces.
-  BatchSparsityObjectives global_obj(&partition, &training_data);
+  // Step 1: MOGA over the whole batch — global sparse subspaces. The batch
+  // is binned once here; every later search retargets the same kernel.
+  BatchSparsityObjectives obj(&partition, &training_data);
   Nsga2Config moga_cfg = config.moga;
   moga_cfg.seed = rng.NextUint64();
-  MogaSearch global_search(moga_cfg, &global_obj);
+  MogaSearch global_search(moga_cfg, &obj);
   std::vector<ScoredSubspace> global_top =
       global_search.FindTopSparse(config.top_subspaces_per_run);
 
@@ -48,10 +49,9 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
   const std::size_t per_point =
       std::max<std::size_t>(2, config.top_subspaces_per_run / 2);
   for (std::size_t point : top_points) {
-    BatchSparsityObjectives targeted_obj(&partition, &training_data,
-                                         {point});
+    obj.Retarget({point});
     moga_cfg.seed = rng.NextUint64();
-    MogaSearch targeted_search(moga_cfg, &targeted_obj);
+    MogaSearch targeted_search(moga_cfg, &obj);
     for (const auto& ss : targeted_search.FindTopSparse(per_point, seeds)) {
       auto it = best.find(ss.subspace);
       if (it == best.end() || ss.score < it->second) {

@@ -8,9 +8,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +224,92 @@ TEST(CheckpointTest, RoundTripsFullConfigIncludingNestedLearningKnobs) {
   EXPECT_EQ(rc.num_shards, 3u);
   EXPECT_EQ(restored.sst().TotalSize(), det->sst().TotalSize());
   EXPECT_EQ(restored.TrackedSubspaces(), det->TrackedSubspaces());
+}
+
+/// Threads of this process, read from /proc/self/status (0 if unreadable).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return 0;
+}
+
+// A checkpoint whose config decodes num_shards as ~2^45 (one corrupted
+// word) used to pass Validate() — it only bounded fields from below — and
+// the first ProcessBatch then asked ThreadPool for 2^45 workers and aborted.
+// The load must refuse it with a named cause before any pool exists.
+TEST(CheckpointTest, RefusesAbsurdShardCountBeforeBuildingAPool) {
+  SpotConfig bad;
+  bad.num_shards = std::size_t{1} << 45;
+  EXPECT_NE(bad.Validate().find("num_shards"), std::string::npos)
+      << bad.Validate();
+
+  SpotConfig cfg = EventfulConfig();
+  cfg.num_shards = 3;
+  cfg.seed = 0x5EED5EED5EED5EEDULL;
+  auto det = LearnedDetector(cfg, TrainingBatch(5, 200));
+  std::string bytes = SaveToString(*det);
+  // The config ends with num_shards then seed, both little-endian u64.
+  std::string tail(16, '\0');
+  const std::uint64_t shards = 3;
+  std::memcpy(&tail[0], &shards, 8);
+  std::memcpy(&tail[8], &cfg.seed, 8);
+  const std::size_t at = bytes.find(tail);
+  ASSERT_NE(at, std::string::npos);
+  const std::uint64_t corrupt = std::uint64_t{1} << 45;
+  std::memcpy(&bytes[at], &corrupt, 8);
+
+  const int threads_before = ProcessThreads();
+  SpotDetector restored{SpotConfig{}};
+  ASSERT_FALSE(LoadFromString(&restored, bytes));
+  EXPECT_FALSE(restored.learned());
+  // A refused detector stays unlearned: a batch gets neutral verdicts and
+  // never reaches the engine, so no pool is ever built.
+  const auto results = restored.ProcessBatch(std::vector<DataPoint>(4));
+  ASSERT_EQ(results.size(), 4u);
+  for (const SpotResult& r : results) EXPECT_FALSE(r.is_outlier);
+  EXPECT_EQ(ProcessThreads(), threads_before);
+}
+
+TEST(CheckpointTest, ValidateNamesEveryAdmissionLimit) {
+  using Mutation = std::function<void(SpotConfig*)>;
+  const std::vector<std::pair<std::string, Mutation>> cases = {
+      {"num_shards",
+       [](SpotConfig* c) { c->num_shards = SpotConfig::kMaxShards + 1; }},
+      {"cells_per_dim",
+       [](SpotConfig* c) {
+         c->cells_per_dim = SpotConfig::kMaxCellsPerDim + 1;
+       }},
+      {"fs_max_dimension",
+       [](SpotConfig* c) {
+         c->fs_max_dimension = Subspace::kMaxDimensions + 1;
+       }},
+      {"unsupervised moga population_size",
+       [](SpotConfig* c) { c->unsupervised.moga.population_size = 1 << 20; }},
+      {"unsupervised moga generations",
+       [](SpotConfig* c) { c->unsupervised.moga.generations = 1 << 30; }},
+      {"supervised moga population_size",
+       [](SpotConfig* c) { c->supervised.moga.population_size = 1 << 20; }},
+      {"supervised moga generations",
+       [](SpotConfig* c) { c->supervised.moga.generations = 1 << 30; }},
+      {"supervised moga population_size",
+       [](SpotConfig* c) { c->supervised.moga.population_size = 1; }},
+  };
+  for (const auto& [field, mutate] : cases) {
+    SpotConfig c;
+    mutate(&c);
+    EXPECT_NE(c.Validate().find(field), std::string::npos)
+        << field << ": '" << c.Validate() << "'";
+  }
+  SpotConfig at_limit;
+  at_limit.num_shards = SpotConfig::kMaxShards;
+  at_limit.cells_per_dim = SpotConfig::kMaxCellsPerDim;
+  at_limit.fs_max_dimension = Subspace::kMaxDimensions;
+  at_limit.unsupervised.moga.population_size = SpotConfig::kMaxMogaPopulation;
+  at_limit.unsupervised.moga.generations = SpotConfig::kMaxMogaGenerations;
+  EXPECT_EQ(at_limit.Validate(), "");
 }
 
 TEST(CheckpointTest, UnlearnedDetectorRoundTrips) {

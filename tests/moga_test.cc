@@ -3,19 +3,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "grid/partition.h"
+#include "grid/pcs.h"
 #include "moga/moga_search.h"
 #include "moga/nsga2.h"
 #include "moga/objectives.h"
 #include "moga/operators.h"
 #include "stream/synthetic.h"
+#include "subspace/lattice.h"
 
 namespace spot {
 namespace {
@@ -266,6 +270,195 @@ TEST_F(ObjectivesFixture, DefaultTargetsAreAllPoints) {
   // Mean RD over all points is well-defined and positive.
   const ObjectiveVector v = obj.Evaluate(Subspace::FromIndices({1}));
   EXPECT_GT(v.values[0], 0.0);
+}
+
+// ------------------------------------ objective kernel vs reference ----
+//
+// The reference below is the kernel's previous implementation, kept verbatim
+// as an oracle: it re-bins every row per subspace into heap-allocated
+// CellCoords and aggregates in a std::unordered_map. The flat kernel must
+// reproduce its objective vectors bit for bit.
+
+ObjectiveVector ReferenceObjectives(
+    const Partition& partition, const std::vector<std::vector<double>>& data,
+    std::vector<std::size_t> targets, const Subspace& s) {
+  if (targets.empty()) {
+    targets.resize(data.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) targets[i] = i;
+  }
+  const std::vector<int> dims = s.Indices();
+  struct CellAgg {
+    double count = 0.0;
+    std::vector<double> ls;
+    std::vector<double> ss;
+  };
+  std::unordered_map<CellCoords, CellAgg, CellCoordsHash> hist;
+  std::vector<CellCoords> point_cells;
+  point_cells.reserve(data.size());
+  for (const auto& row : data) {
+    CellCoords coords;
+    coords.reserve(dims.size());
+    for (int d : dims) {
+      coords.push_back(
+          partition.IntervalIndex(d, row[static_cast<std::size_t>(d)]));
+    }
+    auto [cit, inserted] = hist.try_emplace(coords);
+    CellAgg& cell = cit->second;
+    if (inserted) {
+      cell.ls.assign(dims.size(), 0.0);
+      cell.ss.assign(dims.size(), 0.0);
+    }
+    cell.count += 1.0;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      const double v = row[static_cast<std::size_t>(dims[i])];
+      cell.ls[i] += v;
+      cell.ss[i] += v * v;
+    }
+    point_cells.push_back(std::move(coords));
+  }
+  const double total = static_cast<double>(data.size());
+  double sumsq = 0.0;
+  for (const auto& [coords, cell] : hist) sumsq += cell.count * cell.count;
+  if (sumsq <= 0.0) sumsq = 1.0;
+  double rd_sum = 0.0;
+  double irsd_sum = 0.0;
+  for (std::size_t t : targets) {
+    const CellAgg& cell = hist.at(point_cells[t]);
+    rd_sum += cell.count * total / sumsq;
+    if (cell.count >= 2.0) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < dims.size(); ++i) {
+        const double mean = cell.ls[i] / cell.count;
+        const double var = cell.ss[i] / cell.count - mean * mean;
+        const double sigma = var > 0.0 ? std::sqrt(var) : 0.0;
+        const double su = partition.CellWidth(dims[i]) / std::sqrt(12.0);
+        const double ratio = su / (sigma + 0.01 * su);
+        acc += ratio > Pcs::kIrsdCap ? Pcs::kIrsdCap : ratio;
+      }
+      irsd_sum += acc / static_cast<double>(dims.size());
+    }
+  }
+  const double n_targets = static_cast<double>(targets.size());
+  ObjectiveVector obj;
+  obj.values = {rd_sum / n_targets, irsd_sum / n_targets,
+                static_cast<double>(s.Dimension())};
+  return obj;
+}
+
+void ExpectBitIdentical(const ObjectiveVector& got,
+                        const ObjectiveVector& want, const Subspace& s) {
+  ASSERT_EQ(got.values.size(), want.values.size()) << s.ToString();
+  EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                        got.values.size() * sizeof(double)),
+            0)
+      << s.ToString() << ": got (" << got.values[0] << ", " << got.values[1]
+      << ") want (" << want.values[0] << ", " << want.values[1] << ")";
+}
+
+/// Clustered 8-dim rows with values outside the [0, 1] domain (clamped into
+/// the boundary intervals) and exact duplicate rows.
+std::vector<std::vector<double>> KernelBatch(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 300; ++i) {
+    const double centre = i % 3 == 0 ? 0.25 : 0.7;
+    std::vector<double> row(8);
+    for (double& v : row) v = centre + 0.08 * rng.NextGaussian();
+    rows.push_back(std::move(row));
+  }
+  for (int i = 0; i < 12; ++i) {
+    std::vector<double> row(8);
+    for (double& v : row) v = rng.NextDouble(-0.4, 1.4);
+    rows.push_back(std::move(row));
+  }
+  for (std::size_t i = 0; i < 20; ++i) rows.push_back(rows[7 * i]);
+  return rows;
+}
+
+Subspace RandomSubspace(Rng& rng, int num_dims, int max_dimension) {
+  Subspace s;
+  const int dim = 1 + static_cast<int>(rng.NextUint64(
+                          static_cast<std::uint64_t>(max_dimension)));
+  while (s.Dimension() < dim) {
+    s.Add(static_cast<int>(
+        rng.NextUint64(static_cast<std::uint64_t>(num_dims))));
+  }
+  return s;
+}
+
+// cells_per_dim 5 keys every subspace up to |s| = 6 densely; 50 cells per
+// dim push |s| >= 3 onto the FlatIndex fallback (50^3 > kMaxDenseKeys).
+class KernelDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelDifferentialTest, MatchesReferenceForEveryTargetSet) {
+  const int cells = GetParam();
+  const Partition part(8, cells, 0.0, 1.0);
+  const auto data = KernelBatch(31 + static_cast<std::uint64_t>(cells));
+  const std::vector<std::vector<std::size_t>> target_sets = {
+      {}, {5}, {data.size() - 1}, {0, 3, 3, 17, 140, 301, 310}};
+  Rng rng(99);
+  std::vector<Subspace> subspaces;
+  for (int i = 0; i < 120; ++i) subspaces.push_back(RandomSubspace(rng, 8, 6));
+  subspaces.push_back(Subspace::Full(8));
+
+  for (const auto& targets : target_sets) {
+    BatchSparsityObjectives obj(&part, &data, targets);
+    for (const Subspace& s : subspaces) {
+      ExpectBitIdentical(obj.Evaluate(s),
+                         ReferenceObjectives(part, data, targets, s), s);
+    }
+  }
+}
+
+TEST_P(KernelDifferentialTest, ExtraTargetRowMatchesAppendedBatch) {
+  const int cells = GetParam();
+  const Partition part(8, cells, 0.0, 1.0);
+  const auto sample = KernelBatch(57);
+  const std::vector<double> outlier = {0.95, 0.1, 1.3,  0.7,
+                                       -0.2, 0.5, 0.25, 0.7};
+  auto appended = sample;
+  appended.push_back(outlier);
+  BatchSparsityObjectives obj(&part, sample, outlier);
+  Rng rng(7);
+  for (int i = 0; i < 120; ++i) {
+    const Subspace s = RandomSubspace(rng, 8, 6);
+    ExpectBitIdentical(
+        obj.Evaluate(s),
+        ReferenceObjectives(part, appended, {appended.size() - 1}, s), s);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseAndFlatIndexSlots, KernelDifferentialTest,
+                         ::testing::Values(5, 50));
+
+TEST(KernelDifferentialTest, RetargetStartsAFreshArchive) {
+  const Partition part(8, 5, 0.0, 1.0);
+  const auto data = KernelBatch(3);
+  BatchSparsityObjectives obj(&part, &data);
+  const Subspace s = Subspace::FromIndices({1, 4});
+  obj.Evaluate(s);
+  obj.Retarget({11});
+  std::vector<std::pair<Subspace, double>> archive;
+  obj.AppendEvaluated(&archive);
+  EXPECT_TRUE(archive.empty());
+  ExpectBitIdentical(obj.Evaluate(s), ReferenceObjectives(part, data, {11}, s),
+                     s);
+  EXPECT_EQ(obj.evaluation_count(), 2u);
+}
+
+TEST(KernelDifferentialTest, MatchesReferenceOnTheWholeLattice) {
+  // Every subspace of an 8-dim lattice up to depth 4 (162 subspaces), the
+  // single-target form OS growth runs.
+  const Partition part(8, 5, 0.0, 1.0);
+  const auto data = KernelBatch(12);
+  BatchSparsityObjectives obj(&part, &data, {data.size() - 3});
+  const auto lattice = EnumerateLattice(8, 4);
+  for (const Subspace& s : lattice) {
+    ExpectBitIdentical(obj.Evaluate(s),
+                       ReferenceObjectives(part, data, {data.size() - 3}, s),
+                       s);
+  }
+  EXPECT_EQ(obj.evaluation_count(), lattice.size());
 }
 
 // --------------------------------------------------------------- Nsga2 ----
