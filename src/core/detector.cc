@@ -170,32 +170,37 @@ void SpotDetector::SyncTrackedSubspaces() {
   for (const auto& s : synapses_->TrackedSubspaces()) {
     if (!sst_.Contains(s)) synapses_->Untrack(s);
   }
-  tracked_cache_ = synapses_->TrackedSubspaces();
 }
 
 SpotResult SpotDetector::Process(const DataPoint& point) {
+  return ProcessPoint(point.values, point.id);
+}
+
+SpotResult SpotDetector::Process(const std::vector<double>& values) {
+  return ProcessPoint(values, tick_);
+}
+
+SpotResult SpotDetector::ProcessPoint(const std::vector<double>& values,
+                                      std::uint64_t id) {
   if (!learned()) {
     SPOT_LOG(Error) << "Process() called before a successful Learn()";
     return SpotResult{};
   }
   Timer timer;
-  SpotResult result = ProcessOne(point);
+  SpotResult result = Engine().Process(values, id);
   stats_.detection_seconds += timer.ElapsedSeconds();
   return result;
 }
 
 void SpotDetector::set_num_shards(std::size_t num_shards) {
-  config_.num_shards = num_shards == 0 ? 1 : num_shards;
-  if (engine_ != nullptr && engine_->num_shards() != config_.num_shards) {
-    // The next ProcessBatch rebuilds the engine lazily against the pool
-    // EnsurePool() hands out for the new count.
-    engine_.reset();
-  }
-  if (config_.num_shards == 1) {
-    // Dropping to sequential would otherwise strand the owned workers.
+  if (num_shards == 0) num_shards = 1;
+  if (num_shards != config_.num_shards) {
+    // The next batch rebuilds the engine (and, when it needs workers, the
+    // owned pool) for the new count; the old workers must not idle on.
     engine_.reset();
     owned_pool_.reset();
   }
+  config_.num_shards = num_shards;
 }
 
 void SpotDetector::set_thread_pool(ThreadPool* pool) {
@@ -206,6 +211,7 @@ void SpotDetector::set_thread_pool(ThreadPool* pool) {
 }
 
 ThreadPool* SpotDetector::EnsurePool() {
+  if (config_.num_shards == 1) return nullptr;
   if (external_pool_ != nullptr) return external_pool_;
   const std::size_t workers = config_.num_shards - 1;
   if (owned_pool_ == nullptr || owned_pool_->num_threads() != workers) {
@@ -214,93 +220,37 @@ ThreadPool* SpotDetector::EnsurePool() {
   return owned_pool_.get();
 }
 
-std::vector<SpotResult> SpotDetector::ProcessBatch(
-    const std::vector<DataPoint>& points) {
-  std::vector<SpotResult> results;
-  if (!learned()) {
-    SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
-    results.resize(points.size());
-    return results;
+ShardedSpotEngine& SpotDetector::Engine() {
+  if (engine_ == nullptr || engine_->num_shards() != config_.num_shards) {
+    engine_ = std::make_unique<ShardedSpotEngine>(this, config_.num_shards,
+                                                  EnsurePool());
   }
-  Timer timer;
-  if (config_.num_shards > 1) {
-    if (engine_ == nullptr || engine_->num_shards() != config_.num_shards) {
-      engine_ = std::make_unique<ShardedSpotEngine>(this, config_.num_shards,
-                                                    EnsurePool());
-    }
-    results = engine_->ProcessBatch(points);
-  } else {
-    results.reserve(points.size());
-    for (const DataPoint& p : points) results.push_back(ProcessOne(p));
-  }
-  stats_.detection_seconds += timer.ElapsedSeconds();
-  ++stats_.batches_processed;
-  return results;
+  return *engine_;
 }
 
-std::vector<SpotResult> SpotDetector::ProcessBatch(
-    const std::vector<std::vector<double>>& batch) {
+template <typename Batch>
+std::vector<SpotResult> SpotDetector::RunBatch(const Batch& batch) {
   std::vector<SpotResult> results;
   if (!learned()) {
     SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
     results.resize(batch.size());
     return results;
   }
-  if (config_.num_shards > 1) {
-    std::vector<DataPoint> points(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      points[i].id = tick_ + i;
-      points[i].values = batch[i];
-    }
-    return ProcessBatch(points);
-  }
   Timer timer;
-  results.reserve(batch.size());
-  DataPoint p;
-  for (const auto& values : batch) {
-    p.id = tick_;
-    p.values = values;
-    results.push_back(ProcessOne(p));
-  }
+  results = Engine().ProcessBatch(batch);
   stats_.detection_seconds += timer.ElapsedSeconds();
   ++stats_.batches_processed;
   return results;
 }
 
-SpotResult SpotDetector::ProcessOne(const DataPoint& point) {
-  SpotResult result;
+std::vector<SpotResult> SpotDetector::ProcessBatch(
+    const std::vector<DataPoint>& points) {
+  return RunBatch(points);
+}
 
-  // 1+2 fused. Update data synapses (BCS + every tracked PCS grid) and
-  // retrieve the PCS of the point's cell in every SST subspace from the
-  // same slot lookups: one hash probe per tracked subspace. The point's
-  // base-cell coordinates are computed once and projected per subspace by
-  // index selection.
-  synapses_->AddAndQuery(point.values, tick_++, &pcs_cache_);
-  AddToReservoir(point.values);
-
-  // Outlier-ness check over the retrieved PCSs.
-  double min_rd = 1.0;
-  for (std::size_t i = 0; i < tracked_cache_.size(); ++i) {
-    const Subspace& s = tracked_cache_[i];
-    const Pcs& pcs = pcs_cache_[i];
-    min_rd = std::min(min_rd, pcs.rd);
-    if (pcs.IsSparse(config_.rd_threshold, config_.irsd_threshold)) {
-      // Veto sparse cells that are merely the fringe of an adjacent dense
-      // cluster (statistical tails revisit such cells forever; genuinely
-      // projected outliers sit in isolated cells).
-      if (config_.fringe_factor > 0.0 &&
-          synapses_->IsClusterFringe(point.values, s, pcs.count,
-                                     config_.fringe_factor)) {
-        continue;
-      }
-      result.findings.push_back({s, pcs});
-    }
-  }
-  result.is_outlier = !result.findings.empty();
-  result.score = Clamp(1.0 - min_rd, 0.0, 1.0);
-
-  ApplyPointSideEffects(point.id, tick_ - 1, point.values, result);
-  return result;
+std::vector<SpotResult> SpotDetector::ProcessBatch(
+    const std::vector<std::vector<double>>& batch) {
+  return RunBatch(batch);
 }
 
 void SpotDetector::ApplyPointSideEffects(std::uint64_t point_id,
@@ -343,13 +293,6 @@ void SpotDetector::ApplyPointSideEffects(std::uint64_t point_id,
     Emit(DetectorEventKind::kDriftDetected, stats_.drifts_detected);
     if (config_.relearn_on_drift) RelearnAfterDrift();
   }
-}
-
-SpotResult SpotDetector::Process(const std::vector<double>& values) {
-  DataPoint p;
-  p.id = tick_;
-  p.values = values;
-  return Process(p);
 }
 
 void SpotDetector::GrowOutlierDriven(const std::vector<double>& values) {

@@ -51,6 +51,13 @@ std::string SpotConfig::Validate() const {
   if (num_shards > kMaxShards) {
     return "num_shards must be at most " + std::to_string(kMaxShards);
   }
+  if (reservoir_capacity > kMaxReservoirCapacity) {
+    return "reservoir_capacity must be at most " +
+           std::to_string(kMaxReservoirCapacity);
+  }
+  if (topk_capacity > kMaxTopKCapacity) {
+    return "topk_capacity must be at most " + std::to_string(kMaxTopKCapacity);
+  }
   return "";
 }
 

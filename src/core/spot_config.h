@@ -121,10 +121,9 @@ struct SpotConfig {
 
   // --- Batch sharding ----------------------------------------------------
   /// Shards the tracked SST subspaces across this many worker threads
-  /// during ProcessBatch (1 = sequential in-place processing, the default).
-  /// Verdicts are bit-identical at every shard count — sharding is a
-  /// throughput knob, not a semantic one. Single-point Process() always
-  /// runs in place regardless.
+  /// during ProcessBatch and Process (1 = inline on the calling thread,
+  /// the default). Verdicts are bit-identical at every shard count —
+  /// sharding is a throughput knob, not a semantic one.
   std::size_t num_shards = 1;
 
   // --- Reproducibility ---------------------------------------------------
@@ -139,6 +138,10 @@ struct SpotConfig {
   static constexpr int kMaxCellsPerDim = 1024;
   static constexpr int kMaxMogaPopulation = 1024;
   static constexpr int kMaxMogaGenerations = 1000;
+  /// The reservoir reserves its capacity when the detector is built, and
+  /// top-k retention keeps up to its capacity of full points.
+  static constexpr std::size_t kMaxReservoirCapacity = std::size_t{1} << 20;
+  static constexpr std::size_t kMaxTopKCapacity = std::size_t{1} << 16;
 
   /// Returns an empty string when the configuration is usable, otherwise a
   /// description of the first problem found.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
 #include "common/math_util.h"
 #include "common/timer.h"
 #include "grid/synapse_manager.h"
@@ -10,66 +9,105 @@
 
 namespace spot {
 
+namespace {
+
+/// The calling thread's batch frame. A call stages it, runs, and leaves it
+/// for the next call on this thread; shard jobs on other threads reach it
+/// only through the pointer the coordinator hands them.
+BatchFrame& ThreadFrame() {
+  thread_local BatchFrame frame;
+  return frame;
+}
+
+}  // namespace
+
 ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
                                      std::size_t num_shards, ThreadPool* pool)
     : detector_(detector),
       num_shards_(num_shards == 0 ? 1 : num_shards),
-      pool_(num_shards_ > 1 ? pool : nullptr) {
-  shards_.resize(num_shards_);
-}
+      pool_(num_shards_ > 1 ? pool : nullptr) {}
 
 ShardedSpotEngine::~ShardedSpotEngine() = default;
 
-void ShardedSpotEngine::Resync(std::size_t n, bool reset_all,
-                               std::vector<ShardColumn*>* fresh) {
-  SynapseManager& synapses = *detector_->synapses_;
-  ++resync_stamp_;
-  dense_columns_.clear();
-  const std::size_t tracked = synapses.NumTracked();
-  dense_columns_.reserve(tracked);
-  for (std::size_t i = 0; i < tracked; ++i) {
-    auto [it, inserted] = columns_.try_emplace(synapses.SubspaceAt(i));
-    ShardColumn& column = it->second;
-    // A serial mismatch means the subspace was untracked and re-tracked
-    // since this column last saw it: the grid is fresh and empty, so the
-    // column restarts (and replays the batch tail) exactly as a new one.
-    if (inserted || reset_all || column.serial != synapses.SerialAt(i)) {
-      column.subspace = synapses.SubspaceAt(i);
-      column.grid = synapses.GridAt(i);
-      column.serial = synapses.SerialAt(i);
-      column.pcs.assign(n, Pcs{});
-      column.vetoed.assign(n, 0);
-      if (fresh != nullptr) fresh->push_back(&column);
-    }
-    column.stamp = resync_stamp_;
-    dense_columns_.push_back(&column);
+std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
+    const std::vector<DataPoint>& points) {
+  BatchFrame& frame = ThreadFrame();
+  frame.Stage(points.size());
+  for (std::size_t j = 0; j < points.size(); ++j) {
+    frame.values[j] = &points[j].values;
+    frame.ids[j] = points[j].id;
   }
-  // Sweep columns of untracked subspaces — their grids no longer exist.
-  if (columns_.size() != dense_columns_.size()) {
-    for (auto it = columns_.begin(); it != columns_.end();) {
-      it = it->second.stamp == resync_stamp_ ? std::next(it)
-                                             : columns_.erase(it);
-    }
-  }
-}
-
-void ShardedSpotEngine::SliceShards() {
-  for (SynapseShard& shard : shards_) shard.Clear();
-  for (std::size_t i = 0; i < dense_columns_.size(); ++i) {
-    shards_[i % num_shards_].Adopt(dense_columns_[i]);
-  }
+  return Run(&frame);
 }
 
 std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
-    const std::vector<DataPoint>& points) {
+    const std::vector<std::vector<double>>& batch) {
+  BatchFrame& frame = ThreadFrame();
+  frame.Stage(batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    frame.values[j] = &batch[j];
+    frame.ids[j] = detector_->tick_ + j;
+  }
+  return Run(&frame);
+}
+
+SpotResult ShardedSpotEngine::Process(const std::vector<double>& values,
+                                      std::uint64_t id) {
+  BatchFrame& frame = ThreadFrame();
+  frame.Stage(1);
+  frame.values[0] = &values;
+  frame.ids[0] = id;
+  return std::move(Run(&frame).front());
+}
+
+void ShardedSpotEngine::Resync() {
+  SynapseManager& synapses = *detector_->synapses_;
+  const std::size_t tracked = synapses.NumTracked();
+  columns_.resize(tracked);
+  for (std::size_t i = 0; i < tracked; ++i) {
+    columns_[i] = {synapses.SubspaceAt(i), synapses.GridAt(i),
+                   synapses.SerialAt(i), i};
+  }
+  synced_ = true;
+  synced_revision_ = synapses.revision();
+}
+
+void ShardedSpotEngine::ResyncMidBatch(std::size_t* next_lane,
+                                       std::vector<std::size_t>* fresh) {
+  SynapseManager& synapses = *detector_->synapses_;
+  lanes_by_serial_.clear();
+  for (const ShardColumn& column : columns_) {
+    lanes_by_serial_.emplace_back(column.serial, column.lane);
+  }
+  std::sort(lanes_by_serial_.begin(), lanes_by_serial_.end());
+  const std::size_t tracked = synapses.NumTracked();
+  columns_.resize(tracked);
+  for (std::size_t i = 0; i < tracked; ++i) {
+    const std::uint64_t serial = synapses.SerialAt(i);
+    std::size_t lane;
+    if (serial > synced_revision_) {
+      // Tracked (or untracked and re-tracked) since the last sync: every
+      // Track() takes a serial above all earlier revisions, so the grid is
+      // fresh and empty and replays the batch tail into a new lane.
+      lane = (*next_lane)++;
+      fresh->push_back(i);
+    } else {
+      // Tracked at the last sync and never untracked since (untracking
+      // destroys the grid), so it has a column and keeps its lane.
+      lane = std::lower_bound(lanes_by_serial_.begin(),
+                              lanes_by_serial_.end(),
+                              std::make_pair(serial, std::size_t{0}))
+                 ->second;
+    }
+    columns_[i] = {synapses.SubspaceAt(i), synapses.GridAt(i), serial, lane};
+  }
+  synced_revision_ = synapses.revision();
+}
+
+std::vector<SpotResult> ShardedSpotEngine::Run(BatchFrame* frame) {
   SpotDetector& detector = *detector_;
   std::vector<SpotResult> results;
-  if (!detector.learned()) {
-    SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
-    results.resize(points.size());
-    return results;
-  }
-  const std::size_t n = points.size();
+  const std::size_t n = frame->n;
   if (n == 0) return results;
   results.reserve(n);
 
@@ -90,112 +128,109 @@ std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
   // Phase 0 — coordinator: bin each point once, fold it into the
   // single-owner base grid, and snapshot the per-point total weight. The
   // base grid never depends on the tracked set, so it can run ahead of the
-  // join; every weight is exactly the W the sequential path would read.
+  // join; every weight is exactly the W a point-at-a-time run would read.
   // Binning the whole batch first lets the fold loop prefetch point j+1's
   // base-cell bucket while folding point j (DESIGN.md Section 3.9).
   {
     obs::ScopedCounters bin_perf(perf ? obs::ThreadPerfGroup() : nullptr,
                                  &detector.bin_perf_);
     bin_perf.set_units(n);
-    frame_.points = &points;
-    frame_.base_coords.resize(n);
-    frame_.ticks.resize(n);
-    frame_.total_weights.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      frame_.ticks[j] = detector.tick_++;
-      synapses.BinBase(points[j].values, &frame_.base_coords[j]);
+      frame->ticks[j] = detector.tick_++;
+      synapses.BinBase(*frame->values[j], &frame->base_coords[j]);
     }
     const BaseGrid& base = synapses.base_grid();
-    std::uint64_t hash = base.PrefetchCoords(frame_.base_coords[0]);
+    std::uint64_t hash = base.PrefetchCoords(frame->base_coords[0]);
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint64_t next_hash =
-          j + 1 < n ? base.PrefetchCoords(frame_.base_coords[j + 1]) : 0;
-      frame_.total_weights[j] =
-          synapses.AddBase(frame_.base_coords[j], hash, points[j].values,
-                           frame_.ticks[j]);
+          j + 1 < n ? base.PrefetchCoords(frame->base_coords[j + 1]) : 0;
+      frame->total_weights[j] =
+          synapses.AddBase(frame->base_coords[j], hash, *frame->values[j],
+                           frame->ticks[j]);
       hash = next_hash;
     }
   }
 
-  // Phase 1 — fan the per-subspace work out to the shards. When the flight
-  // recorder asks for shard timings, each worker clocks its own span into a
-  // distinct slot (no contention; Dispatch joins before anyone reads them).
-  // The tail replays below are deliberately untimed: they are rare
-  // correction work, not the steady-state probe cost.
-  Resync(n, /*reset_all=*/true, nullptr);
-  SliceShards();
+  // Phase 1 — fan the per-subspace work out to the shards. The columns are
+  // rebuilt only when the tracked set moved since they were last synced;
+  // otherwise column i keeps lane i. When the flight recorder asks for
+  // shard timings, each worker clocks its own span into a distinct slot
+  // (no contention; Dispatch joins before anyone reads them). The tail
+  // replays below are deliberately untimed: they are rare correction work,
+  // not the steady-state probe cost.
+  if (!synced_ || synapses.revision() != synced_revision_) {
+    Resync();
+  } else {
+    for (std::size_t i = 0; i < columns_.size(); ++i) columns_[i].lane = i;
+  }
+  std::size_t next_lane = columns_.size();
+  frame->ReserveLanes(next_lane);
   const bool timed = detector.collect_shard_timings_;
   if (timed) detector.shard_spans_.assign(num_shards_, ShardSpan{});
-  if (pool_ != nullptr) {
-    pool_->Dispatch(shards_.size(), [&](std::size_t k) {
-      const std::uint64_t t0 = timed ? SteadyMicrosSinceStart() : 0;
-      {
-        // Each worker thread measures with its own group into its own
-        // slot — no contention; Dispatch joins before anyone reads them.
-        obs::ScopedCounters probe_perf(
-            perf ? obs::ThreadPerfGroup() : nullptr,
-            perf ? &detector.shard_perf_[k] : nullptr);
-        probe_perf.set_units(n * shards_[k].NumGrids());  // logical probes
-        shards_[k].ProcessRun(frame_, 0, n, params);
-      }
-      if (timed) {
-        detector.shard_spans_[k] = {t0, SteadyMicrosSinceStart() - t0};
-      }
-    });
-  } else {
+  const auto run_shard = [&](std::size_t k) {
     const std::uint64_t t0 = timed ? SteadyMicrosSinceStart() : 0;
     {
-      obs::ScopedCounters probe_perf(perf ? obs::ThreadPerfGroup() : nullptr,
-                                     perf ? &detector.shard_perf_[0] : nullptr);
-      probe_perf.set_units(n * shards_[0].NumGrids());
-      shards_[0].ProcessRun(frame_, 0, n, params);
+      // Each worker thread measures with its own group into its own
+      // slot — no contention; Dispatch joins before anyone reads them.
+      obs::ScopedCounters probe_perf(
+          perf ? obs::ThreadPerfGroup() : nullptr,
+          perf ? &detector.shard_perf_[k] : nullptr);
+      probe_perf.set_units(
+          n * SynapseShard::NumGrids(columns_.size(), k, num_shards_));
+      SynapseShard::ProcessRun(columns_, k, num_shards_, frame, 0, n, params);
     }
     if (timed) {
-      detector.shard_spans_[0] = {t0, SteadyMicrosSinceStart() - t0};
+      detector.shard_spans_[k] = {t0, SteadyMicrosSinceStart() - t0};
     }
+  };
+  if (pool_ != nullptr) {
+    pool_->Dispatch(num_shards_, run_shard);
+  } else {
+    run_shard(0);
   }
 
   // Phase 2 — serial join in arrival order, with the side-effect machinery
-  // (reservoir, OS growth, self-evolution, drift) running at the same ticks
-  // as sequential processing.
-  std::uint64_t revision = synapses.revision();
-  std::vector<ShardColumn*> fresh;
+  // (reservoir, OS growth, self-evolution, drift) running point by point.
   for (std::size_t j = 0; j < n; ++j) {
-    detector.AddToReservoir(points[j].values);
+    const std::vector<double>& values = *frame->values[j];
+    detector.AddToReservoir(values);
     SpotResult result;
     double min_rd = 1.0;
-    for (ShardColumn* column : dense_columns_) {
-      const Pcs& pcs = column->pcs[j];
+    for (const ShardColumn& column : columns_) {
+      const std::size_t at = column.lane * n + j;
+      const Pcs& pcs = frame->pcs[at];
       min_rd = std::min(min_rd, pcs.rd);
       if (pcs.IsSparse(config.rd_threshold, config.irsd_threshold) &&
-          column->vetoed[j] == 0) {
-        result.findings.push_back({column->subspace, pcs});
+          frame->vetoed[at] == 0) {
+        result.findings.push_back({column.subspace, pcs});
       }
     }
     result.is_outlier = !result.findings.empty();
     result.score = Clamp(1.0 - min_rd, 0.0, 1.0);
 
-    detector.ApplyPointSideEffects(points[j].id, frame_.ticks[j],
-                                   points[j].values, result);
+    detector.ApplyPointSideEffects(frame->ids[j], frame->ticks[j], values,
+                                   result);
 
-    if (synapses.revision() != revision) {
+    if (synapses.revision() != synced_revision_) {
       // The tracked set changed (OS growth, self-evolution or drift
-      // relearning): resync the shard views and replay the batch tail into
-      // the newly tracked grids — they start empty at this event point,
-      // exactly as sequential processing would leave them.
-      revision = synapses.revision();
-      fresh.clear();
-      Resync(n, /*reset_all=*/false, &fresh);
+      // relearning): resync the columns and replay the batch tail into the
+      // newly tracked grids — they start empty at this event point, exactly
+      // as point-at-a-time processing would leave them.
+      fresh_.clear();
+      ResyncMidBatch(&next_lane, &fresh_);
+      frame->ReserveLanes(next_lane);
       const std::size_t begin = j + 1;
-      if (begin < n && !fresh.empty()) {
+      if (begin < n && !fresh_.empty()) {
+        const auto replay = [&](std::size_t f) {
+          ColumnProbe probe;
+          const ShardColumn& column = columns_[fresh_[f]];
+          SynapseShard::Stage(column, *frame, begin, &probe);
+          SynapseShard::ProcessColumn(column, frame, begin, n, params, &probe);
+        };
         if (pool_ != nullptr) {
-          pool_->Dispatch(fresh.size(), [&](std::size_t f) {
-            SynapseShard::ProcessColumn(fresh[f], frame_, begin, n, params);
-          });
+          pool_->Dispatch(fresh_.size(), replay);
         } else {
-          for (ShardColumn* column : fresh) {
-            SynapseShard::ProcessColumn(column, frame_, begin, n, params);
-          }
+          for (std::size_t f = 0; f < fresh_.size(); ++f) replay(f);
         }
       }
     }

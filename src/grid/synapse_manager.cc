@@ -126,21 +126,6 @@ Pcs SynapseManager::Query(const std::vector<double>& point,
   return grids_[idx].grid->Query(point, base_.TotalWeight());
 }
 
-bool SynapseManager::IsClusterFringe(const std::vector<double>& point,
-                                     const Subspace& s, double cell_count,
-                                     double factor) const {
-  const std::uint32_t idx = IndexOf(s);
-  if (idx == FlatIndex::kNoValue) return false;
-  CellCoords coords;
-  const std::vector<int> dims = s.Indices();
-  coords.reserve(dims.size());
-  for (int d : dims) {
-    coords.push_back(
-        partition_.IntervalIndex(d, point[static_cast<std::size_t>(d)]));
-  }
-  return grids_[idx].grid->IsClusterFringe(coords, cell_count, factor);
-}
-
 std::vector<Subspace> SynapseManager::TrackedSubspaces() const {
   std::vector<Subspace> out;
   out.reserve(grids_.size());
@@ -230,6 +215,9 @@ bool SynapseManager::LoadState(CheckpointReader& r) {
     const Subspace s(r.U64());
     const std::uint64_t serial = r.U64();
     if (s.IsEmpty() || (s.bits() & ~valid_mask) != 0) return r.Fail();
+    // Track() stamps a grid with the revision it created, so no serial can
+    // exceed the revision; the engine's mid-batch resync relies on it.
+    if (serial > revision_) return r.Fail();
     std::uint32_t key[2];
     SubspaceKey(s, key);
     if (!by_subspace_

@@ -59,8 +59,10 @@ class SynapseManager {
   /// advancing the clock to `tick` (non-decreasing).
   void Add(const std::vector<double>& point, std::uint64_t tick);
 
-  /// Fused update + query, the detection hot path: folds `point` into the
-  /// base grid and every tracked grid, and fills `out` with the PCS of the
+  /// Fused update + query of one point across every tracked grid (the
+  /// detector runs the column-major SynapseShard::ProcessColumn instead;
+  /// micro-benchmarks measure this point-major form): folds `point` into
+  /// the base grid and every tracked grid, and fills `out` with the PCS of the
   /// point's cell in each tracked subspace — out[i] corresponds to
   /// TrackedSubspaces()[i]. The point is binned into base-cell coordinates
   /// exactly once; each grid projects those coordinates by index selection
@@ -95,11 +97,6 @@ class SynapseManager {
 
   /// PCS of `point`'s cell in tracked subspace `s` (PCS{} if untracked).
   Pcs Query(const std::vector<double>& point, const Subspace& s) const;
-
-  /// Fringe test for `point`'s cell in `s` (see
-  /// ProjectedGrid::IsClusterFringe). False when `s` is untracked.
-  bool IsClusterFringe(const std::vector<double>& point, const Subspace& s,
-                       double cell_count, double factor) const;
 
   /// Decayed total stream weight at the current tick.
   double TotalWeight() const { return base_.TotalWeight(); }

@@ -9,7 +9,8 @@
 namespace spot::obs {
 
 /// Pipeline stage a trace span covers. kShardProbe nests inside kProcess:
-/// one span per engine shard of a sharded batch, on its worker's thread.
+/// one span per engine shard of a batch (one at num_shards = 1), on its
+/// worker's thread.
 enum class TraceStage : std::uint8_t {
   kDecode = 0,      // wire bytes -> frames
   kCoalesce = 1,    // frames -> per-session pending batch

@@ -173,6 +173,14 @@ bool SpotService::CreateSession(
     SPOT_LOG(Error) << "session '" << id << "' already exists";
     return false;
   }
+  // Validate before building the detector: its constructor sizes the
+  // reservoir from the (possibly wire-supplied) config.
+  const std::string problem = config.Validate();
+  if (!problem.empty()) {
+    SPOT_LOG(Error) << "CreateSession('" << id
+                    << "'): invalid SpotConfig: " << problem;
+    return false;
+  }
   // Learn BEFORE evicting anyone: a failed admission must not knock a hot
   // session out of memory. (Residency transiently exceeds max_resident by
   // the one detector being built, which is the admission itself.)

@@ -236,41 +236,61 @@ int ProcessThreads() {
   return 0;
 }
 
+/// Overwrites the config word holding `first` (the image's first pair of
+/// adjacent little-endian u64 words reading `first`, `second`, which the
+/// config section is) with `value`; false when the pair is not found.
+bool CorruptConfigWord(std::string* bytes, std::uint64_t first,
+                       std::uint64_t second, std::uint64_t value) {
+  std::string pair(16, '\0');
+  std::memcpy(&pair[0], &first, 8);
+  std::memcpy(&pair[8], &second, 8);
+  const std::size_t at = bytes->find(pair);
+  if (at == std::string::npos) return false;
+  std::memcpy(&(*bytes)[at], &value, 8);
+  return true;
+}
+
 // A checkpoint whose config decodes num_shards as ~2^45 (one corrupted
 // word) used to pass Validate() — it only bounded fields from below — and
 // the first ProcessBatch then asked ThreadPool for 2^45 workers and aborted.
-// The load must refuse it with a named cause before any pool exists.
-TEST(CheckpointTest, RefusesAbsurdShardCountBeforeBuildingAPool) {
+// Reservoir and top-k capacities did the same one step earlier: the
+// restore reserves the reservoir's capacity and died in std::bad_alloc.
+// Each load must be refused with a named cause before anything is sized.
+TEST(CheckpointTest, RefusesAbsurdLimitsBeforeAllocating) {
   SpotConfig bad;
   bad.num_shards = std::size_t{1} << 45;
   EXPECT_NE(bad.Validate().find("num_shards"), std::string::npos)
       << bad.Validate();
 
   SpotConfig cfg = EventfulConfig();
-  cfg.num_shards = 3;
+  cfg.reservoir_capacity = 517;  // followed by os_update_every (8)
+  cfg.topk_capacity = 61;        // followed by num_shards (3)
+  cfg.num_shards = 3;            // followed by the seed
   cfg.seed = 0x5EED5EED5EED5EEDULL;
   auto det = LearnedDetector(cfg, TrainingBatch(5, 200));
-  std::string bytes = SaveToString(*det);
-  // The config ends with num_shards then seed, both little-endian u64.
-  std::string tail(16, '\0');
-  const std::uint64_t shards = 3;
-  std::memcpy(&tail[0], &shards, 8);
-  std::memcpy(&tail[8], &cfg.seed, 8);
-  const std::size_t at = bytes.find(tail);
-  ASSERT_NE(at, std::string::npos);
-  const std::uint64_t corrupt = std::uint64_t{1} << 45;
-  std::memcpy(&bytes[at], &corrupt, 8);
-
-  const int threads_before = ProcessThreads();
-  SpotDetector restored{SpotConfig{}};
-  ASSERT_FALSE(LoadFromString(&restored, bytes));
-  EXPECT_FALSE(restored.learned());
-  // A refused detector stays unlearned: a batch gets neutral verdicts and
-  // never reaches the engine, so no pool is ever built.
-  const auto results = restored.ProcessBatch(std::vector<DataPoint>(4));
-  ASSERT_EQ(results.size(), 4u);
-  for (const SpotResult& r : results) EXPECT_FALSE(r.is_outlier);
-  EXPECT_EQ(ProcessThreads(), threads_before);
+  const std::string good = SaveToString(*det);
+  // Each corrupted word, named by the pair of adjacent config words it
+  // starts.
+  const std::pair<std::uint64_t, std::uint64_t> words[] = {
+      {3, cfg.seed}, {517, 8}, {61, 3}};
+  for (const auto& [first, second] : words) {
+    SCOPED_TRACE(::testing::Message() << "word " << first);
+    std::string bytes = good;
+    ASSERT_TRUE(
+        CorruptConfigWord(&bytes, first, second, std::uint64_t{1} << 45));
+    const int threads_before = ProcessThreads();
+    SpotDetector restored{SpotConfig{}};
+    ASSERT_FALSE(LoadFromString(&restored, bytes));
+    EXPECT_FALSE(restored.learned());
+    // A refused detector stays unlearned: a batch gets neutral verdicts and
+    // never reaches the engine, so no pool is ever built.
+    const auto results = restored.ProcessBatch(std::vector<DataPoint>(4));
+    ASSERT_EQ(results.size(), 4u);
+    for (const SpotResult& r : results) EXPECT_FALSE(r.is_outlier);
+    EXPECT_EQ(ProcessThreads(), threads_before);
+    // The untouched image still loads into the same detector.
+    EXPECT_TRUE(LoadFromString(&restored, good));
+  }
 }
 
 TEST(CheckpointTest, ValidateNamesEveryAdmissionLimit) {
@@ -296,6 +316,14 @@ TEST(CheckpointTest, ValidateNamesEveryAdmissionLimit) {
        [](SpotConfig* c) { c->supervised.moga.generations = 1 << 30; }},
       {"supervised moga population_size",
        [](SpotConfig* c) { c->supervised.moga.population_size = 1; }},
+      {"reservoir_capacity",
+       [](SpotConfig* c) {
+         c->reservoir_capacity = SpotConfig::kMaxReservoirCapacity + 1;
+       }},
+      {"topk_capacity",
+       [](SpotConfig* c) {
+         c->topk_capacity = SpotConfig::kMaxTopKCapacity + 1;
+       }},
   };
   for (const auto& [field, mutate] : cases) {
     SpotConfig c;
@@ -309,6 +337,8 @@ TEST(CheckpointTest, ValidateNamesEveryAdmissionLimit) {
   at_limit.fs_max_dimension = Subspace::kMaxDimensions;
   at_limit.unsupervised.moga.population_size = SpotConfig::kMaxMogaPopulation;
   at_limit.unsupervised.moga.generations = SpotConfig::kMaxMogaGenerations;
+  at_limit.reservoir_capacity = SpotConfig::kMaxReservoirCapacity;
+  at_limit.topk_capacity = SpotConfig::kMaxTopKCapacity;
   EXPECT_EQ(at_limit.Validate(), "");
 }
 

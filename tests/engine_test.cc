@@ -226,8 +226,9 @@ TEST(ShardedEngineTest, DetectorDelegatesToEngineViaConfig) {
 }
 
 // Re-sharding mid-stream (set_num_shards) and interleaving single-point
-// Process() calls with engine batches must not perturb verdicts: both paths
-// update the same synapses, and the shard views resync at every batch.
+// Process() calls (batches of one) with multi-point batches must not perturb
+// verdicts: every call updates the same synapses, and the columns resync
+// whenever the tracked set moved.
 TEST(ShardedEngineTest, MixedProcessBatchAndReshardingKeepsVerdicts) {
   const int kDims = 8;
   const auto training = TrainingBatch(kDims, 500);

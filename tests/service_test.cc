@@ -253,6 +253,17 @@ TEST(SpotServiceTest, FailedAdmissionEvictsNobody) {
   // No checkpoint file exists for this id.
   EXPECT_FALSE(service.OpenSession("no-such-checkpoint"));
   EXPECT_TRUE(service.IsResident("hot"));
+
+  // A (wire-supplied) config whose reservoir the detector would reserve up
+  // front: it used to abort the process in std::bad_alloc. It is refused,
+  // by name, before any detector is built.
+  SpotConfig absurd = SessionConfig();
+  absurd.reservoir_capacity = std::size_t{1} << 45;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(service.CreateSession("absurd", absurd, TenantTraining(1)));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("reservoir_capacity"), std::string::npos) << log;
+  EXPECT_TRUE(service.IsResident("hot"));
 }
 
 TEST(SpotServiceTest, RejectsUnknownAndInvalidSessions) {
